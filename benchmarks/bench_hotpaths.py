@@ -22,8 +22,9 @@ side, and archives the numbers in ``results/BENCH_hotpaths.json``:
 A second bench, ``test_som_scaling_reduce_stage``, sweeps the batch
 reduce stage across suite sizes (the paper's 13 workloads up to the
 ROADMAP's 1000) on :func:`repro.synthetic.big_suite` counter matrices,
-timing the exact search against the pruned strategy and the
-epoch-sharded accumulator, and archives
+timing the exhaustive search (passed explicitly, since the default
+fit prunes above a crossover) against the default fit, the pruned
+strategy and the epoch-sharded accumulator, and archives
 ``results/BENCH_som_scaling.json`` for the ``--som-scaling`` gate in
 ``scripts/check_bench_regression.py``.
 
@@ -346,6 +347,10 @@ def _standardized_suite(n_workloads: int, n_dims: int) -> np.ndarray:
     return (raw - raw.mean(axis=0)) / np.where(std > 0.0, std, 1.0)
 
 
+def _exhaustive_search(weights, matrix):
+    return bmu_indices(matrix, weights)
+
+
 def _bench_som_scaling():
     rows = {}
     for n_workloads, n_dims in SOM_SCALING_SHAPES:
@@ -353,16 +358,26 @@ def _bench_som_scaling():
         grid_rows, grid_cols = Grid.suggested_shape(n_workloads)
         config = SOMConfig(rows=grid_rows, columns=grid_cols, seed=7)
 
-        # Interleave the exact and pruned measurements so drift in
-        # machine load hits both sides equally; best-of-N on each.
-        exact_seconds = pruned_seconds = float("inf")
-        som_exact = som_pruned = None
+        # Interleave the exhaustive, default and pruned measurements
+        # so drift in machine load hits every side equally; best-of-N
+        # on each.  "exact" is the exhaustive einsum search, passed
+        # explicitly: the default fit prunes its search above a size
+        # crossover and is timed on its own.
+        exact_seconds = default_seconds = pruned_seconds = float("inf")
+        som_exact = som_default = som_pruned = None
         for _ in range(SOM_SCALING_REPEATS):
             seconds, som_exact = _best_of(
-                lambda: SelfOrganizingMap(config).fit(data, mode="batch"),
+                lambda: SelfOrganizingMap(config).fit(
+                    data, mode="batch", bmu_search=_exhaustive_search
+                ),
                 repeats=1,
             )
             exact_seconds = min(exact_seconds, seconds)
+            seconds, som_default = _best_of(
+                lambda: SelfOrganizingMap(config).fit(data, mode="batch"),
+                repeats=1,
+            )
+            default_seconds = min(default_seconds, seconds)
             seconds, som_pruned = _best_of(
                 lambda: SelfOrganizingMap(config).fit(
                     data, mode="batch", bmu_strategy="pruned"
@@ -371,6 +386,9 @@ def _bench_som_scaling():
             )
             pruned_seconds = min(pruned_seconds, seconds)
 
+        default_bitwise = bool(
+            np.array_equal(som_default.weights, som_exact.weights)
+        )
         qe_exact = quantization_error(som_exact, data)
         qe_pruned = quantization_error(som_pruned, data)
         qe_delta_pct = (
@@ -415,14 +433,21 @@ def _bench_som_scaling():
             f"pooled epoch sharding diverged from inline at "
             f"{n_workloads}x{n_dims}"
         )
+        assert default_bitwise, (
+            f"default fit diverged from the exhaustive search at "
+            f"{n_workloads}x{n_dims}"
+        )
 
         rows[f"{n_workloads}x{n_dims}"] = {
             "grid": f"{grid_rows}x{grid_cols}",
             "epochs": som_exact.epochs_trained,
             "exact_seconds": exact_seconds,
+            "default_seconds": default_seconds,
             "pruned_seconds": pruned_seconds,
             "sharded_seconds": sharded_seconds,
+            "default_speedup": exact_seconds / default_seconds,
             "pruned_speedup": exact_seconds / pruned_seconds,
+            "default_bitwise_identical": default_bitwise,
             "qe_exact": qe_exact,
             "qe_pruned": qe_pruned,
             "qe_delta_pct": qe_delta_pct,
@@ -452,7 +477,10 @@ def test_som_scaling_reduce_stage(benchmark):
             shape,
             stats["grid"],
             stats["exact_seconds"],
+            stats["default_seconds"],
             stats["pruned_seconds"],
+            f"{stats['default_speedup']:.2f}x",
+            "yes" if stats["default_bitwise_identical"] else "NO",
             f"{stats['pruned_speedup']:.2f}x",
             f"{stats['qe_delta_pct']:.4f}%",
             f"{stats['pruning_rate'] * 100.0:.1f}%",
@@ -461,15 +489,18 @@ def test_som_scaling_reduce_stage(benchmark):
         for shape, stats in payload["shapes"].items()
     ]
     emit(
-        "SOM reduce-stage scaling: exact vs pruned vs sharded "
+        "SOM reduce-stage scaling: exhaustive vs default vs pruned vs sharded "
         + ("(smoke)" if SMOKE else "(full)"),
         format_table(
             [
                 "Suite",
                 "Grid",
                 "exact s",
+                "default s",
                 "pruned s",
-                "speedup",
+                "default speedup",
+                "default bitwise",
+                "pruned speedup",
                 "QE delta",
                 "pruned",
                 "sharded bitwise",

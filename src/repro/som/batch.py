@@ -14,9 +14,11 @@ module holds the three building blocks (:func:`exact_epoch_terms`,
 :func:`merge_epoch_terms`, :func:`apply_epoch_terms`) plus the
 grouped-update fast path the pruned strategy uses.
 
-Determinism contract: :func:`exact_epoch_terms` performs the same
-operations in the same order as the historical in-line batch epoch, so
-the single-shard path stays bitwise identical to every golden fixture.
+Determinism contract: :func:`exact_epoch_terms` is the one exact
+epoch op sequence — every exact batch path (in-line fit, epoch shards,
+``partial_fit``) goes through it — and its floats are bitwise those of
+the historical in-line batch epoch, so the single-shard path stays
+identical to every golden fixture.
 :func:`merge_epoch_terms` folds partials left-to-right in the order
 given, so a fixed shard count produces one well-defined result no
 matter which worker computed which shard.
@@ -29,6 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from repro.som.bmu import bmu_indices
+from repro.som.neighborhood import BubbleNeighborhood, GaussianNeighborhood
 
 __all__ = [
     "EpochTerms",
@@ -37,6 +40,12 @@ __all__ = [
     "exact_epoch_terms",
     "merge_epoch_terms",
 ]
+
+
+# Kernels known to map each squared distance on its own, so that
+# gathering rows of the kernel table equals evaluating gathered rows.
+# Exact type match: a subclass may override __call__ with anything.
+_ELEMENTWISE_KERNELS = (GaussianNeighborhood, BubbleNeighborhood)
 
 
 class EpochTerms(NamedTuple):
@@ -58,12 +67,20 @@ def exact_epoch_terms(
     """Terms of one exact batch epoch over ``matrix``.
 
     With ``bmus`` omitted the exact search runs in-line.  The op
-    sequence (kernel gather, ``sum(axis=0)``, ``influence.T @ matrix``)
-    is the golden-pinned batch epoch verbatim.
+    sequence (influence rows, ``sum(axis=0)``, ``influence.T @
+    matrix``) is the golden-pinned batch epoch.  For the built-in
+    kernels, which act on each distance independently, the kernel runs
+    once on the ``(U, U)`` table and its rows are gathered by BMU: the
+    gathered rows hold bitwise the floats the per-sample ``(S, U)``
+    evaluation produced, at a fraction of the ``exp`` calls.  Any
+    other kernel is evaluated per sample, as it may not be elementwise.
     """
     if bmus is None:
         bmus = bmu_indices(matrix, weights)
-    influence = kernel(sq_table[bmus], sigma)
+    if type(kernel) in _ELEMENTWISE_KERNELS:
+        influence = kernel(sq_table, sigma)[bmus]
+    else:
+        influence = kernel(sq_table[bmus], sigma)
     totals = influence.sum(axis=0)
     numerator = influence.T @ matrix
     return EpochTerms(totals, numerator)

@@ -31,7 +31,8 @@ to the projected weight) folds the whole right-hand side into a single
 The search then probes ``cand0 = argmax(B, axis=1)`` — the unit with
 the *tightest* bound — scores it exactly, and keeps only units whose
 bound cannot rule them out against that exact score (plus a relative
-margin absorbing float32 rounding).  Rows where the probe is the sole
+margin absorbing float32 rounding, and a float64 rounding allowance
+for the exact search's own scores).  Rows where the probe is the sole
 survivor are done; the rest score their shortlist with the exact
 einsum kernel and take the first minimum, preserving the exact
 search's lowest-index tie-break (every distance-tied unit passes the
@@ -41,8 +42,14 @@ Exact-fallback guarantee
 ------------------------
 
 The bound is conservative: the true BMU always passes the threshold,
-so the shortlist always contains it.  When the bound cannot help at
-all the search falls back to :func:`repro.som.bmu.bmu_indices` for the
+so the shortlist always contains it.  So does the *exact search's*
+winner when rounding makes it differ from the true BMU: the exact
+search scores ``||w||^2 - 2 <x, w>`` in float64, whose error grows with
+the uncentered norms, so the threshold also admits every unit within
+that error of the probe.  This matters on data far from the origin
+relative to its spread, where the centered margin alone is too tight.
+When the bound cannot help at all the search falls back to
+:func:`repro.som.bmu.bmu_indices` for the
 whole call: degenerate shapes (``q < 1``, i.e. rank-starved data, or
 ``U <= 8`` where pruning overhead cannot pay), a non-finite bound
 matrix, or a shortlist so large (``> max_share`` of all pairs) that
@@ -68,9 +75,11 @@ except ImportError:  # pragma: no cover - other numpy layouts
 
 # Keep at most this many per-matrix preparations alive.  Each entry
 # holds a strong reference to its sample matrix: that reference is
-# what makes the (data pointer, shape) cache key safe — the buffer
+# what makes the (data pointer, layout) cache key safe — the buffer
 # cannot be freed and reallocated under a live key.
 _PREP_CACHE_LIMIT = 64
+
+_EPS64 = float(np.finfo(np.float64).eps)
 
 
 def bmu_indices_among(
@@ -129,7 +138,7 @@ class PrunedBMUSearch:
         self.rank = int(rank)
         self.margin = float(margin)
         self.max_share = float(max_share)
-        self._prep_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
+        self._prep_cache: dict[tuple, dict] = {}
         self._bound_buf: np.ndarray | None = None
         self._mask_buf: np.ndarray | None = None
         # Lifetime counters; see ``stats``.
@@ -176,8 +185,16 @@ class PrunedBMUSearch:
     # -- per-matrix preparation ----------------------------------------
 
     @staticmethod
-    def _key(matrix: np.ndarray) -> tuple[int, tuple[int, ...]]:
-        return (matrix.__array_interface__["data"][0], matrix.shape)
+    def _key(matrix: np.ndarray) -> tuple:
+        # Pointer and shape alone do not identify a view: a square
+        # matrix and its transpose share both.  Strides and dtype tell
+        # such views of one buffer apart.
+        return (
+            matrix.__array_interface__["data"][0],
+            matrix.shape,
+            matrix.strides,
+            matrix.dtype.str,
+        )
 
     def _prep(self, matrix: np.ndarray) -> dict:
         key = self._key(matrix)
@@ -273,24 +290,38 @@ class PrunedBMUSearch:
         along for free so the caller's shortlist scoring does not
         recompute them.
         """
-        prep = self._prep(matrix)
-        ext_weights, sq_centered_w = self._extended_weights(weights, prep)
-        bound = np.matmul(prep["extended"], ext_weights.T, out=out_bound)
-        probe = np.argmax(bound, axis=1)
-        sq_norms_w = _einsum("ud,ud->u", weights, weights)
-        exact_probe = np.maximum(
-            sq_norms_w[probe]
-            - 2.0 * _einsum("sd,sd->s", matrix, weights[probe])
-            + prep["sq_norms"],
-            0.0,
-        )
-        sq_centered_x = prep["sq_centered"]
-        margin_term = self.margin * (
-            sq_centered_x + float(np.abs(sq_centered_w).max()) + exact_probe
-        )
-        neg_thr = ((sq_centered_x - exact_probe) - margin_term).astype(
-            np.float32
-        )
+        # Values beyond float32 range overflow to inf; the caller turns
+        # a non-finite threshold into an exact fallback, so the search
+        # stays as quiet as the exact search it stands in for.
+        with np.errstate(over="ignore", invalid="ignore"):
+            prep = self._prep(matrix)
+            ext_weights, sq_centered_w = self._extended_weights(weights, prep)
+            bound = np.matmul(prep["extended"], ext_weights.T, out=out_bound)
+            probe = np.argmax(bound, axis=1)
+            sq_norms_w = _einsum("ud,ud->u", weights, weights)
+            exact_probe = np.maximum(
+                sq_norms_w[probe]
+                - 2.0 * _einsum("sd,sd->s", matrix, weights[probe])
+                + prep["sq_norms"],
+                0.0,
+            )
+            sq_centered_x = prep["sq_centered"]
+            margin_term = self.margin * (
+                sq_centered_x
+                + float(np.abs(sq_centered_w).max())
+                + exact_probe
+            )
+            # Worst-case float64 error of a dot product of length dim
+            # is ~dim * eps times the product norms; a unit can win the
+            # exact search over the probe by up to three such errors
+            # (its score, the probe's score, exact_probe).  8x covers
+            # that with room.
+            margin_term += (8.0 * (matrix.shape[1] + 2) * _EPS64) * (
+                prep["sq_norms"] + float(sq_norms_w.max())
+            )
+            neg_thr = ((sq_centered_x - exact_probe) - margin_term).astype(
+                np.float32
+            )
         return bound, probe, neg_thr, sq_norms_w
 
     # -- the search ------------------------------------------------------

@@ -66,6 +66,14 @@ except ImportError:  # pragma: no cover - other numpy layouts
 # real memory and broadcast from the raw rows instead.
 _TILE_BUDGET_BYTES = 32 * 1024 * 1024
 
+# Default batch fits with at least this many (sample, unit) pairs per
+# epoch search with PrunedBMUSearch instead of the exhaustive einsum.
+# Both return the same winners, so only speed changes.  Timed full
+# fits on a 2-vCPU x86-64 host cross over between 9 600 pairs (150x45
+# on 8x8, pruned 0.95x) and 16 200 pairs (200x64 on 9x9, 1.13x); the
+# measured table is in docs/PERFORMANCE.md.
+_PRUNED_DEFAULT_MIN_PAIRS = 12_000
+
 
 @dataclass(frozen=True)
 class _SequentialPlan:
@@ -250,18 +258,29 @@ class SelfOrganizingMap:
         batch rule, useful when bit-for-bit reproducibility across
         sample orderings matters.
 
+        A default batch fit picks its per-epoch BMU search by size:
+        the exhaustive :func:`repro.som.bmu.bmu_indices` below 12 000
+        (sample, unit) pairs, a fresh
+        :class:`repro.som.bmu_fast.PrunedBMUSearch` at or above.
+        Both return the same winners, tie-breaks included, and the
+        epoch update is the same exact op sequence either way, so the
+        trained weights are bitwise identical; only the time differs
+        (the crossover table is in ``docs/PERFORMANCE.md``).  The
+        choice adds no cache-key param, search stats or metrics.
+
         ``bmu_search`` (batch mode only) swaps the per-epoch BMU
         search for a custom ``search(weights, matrix) -> indices``
         callable — the hook sharded executors use to fan the search
-        out across processes.  Because the default search is already
+        out across processes.  Because the exhaustive search is
         shard-invariant (:func:`repro.som.bmu.bmu_indices`), any hook
-        built on the same kernel trains bitwise-identical weights.
+        built on the same kernel trains bitwise-identical weights.  A
+        hook replaces the size-based choice above.
 
         ``bmu_strategy`` (batch mode only) selects the per-epoch
         search/update arithmetic: ``"exact"`` (default, golden-pinned,
-        bitwise stable) or ``"pruned"`` — the tolerance-bounded fast
-        path of :mod:`repro.som.bmu_fast` plus the grouped batch
-        update, for large suites where the exact search dominates.
+        bitwise stable) or ``"pruned"`` — the pruned search plus the
+        tolerance-bounded grouped batch update of
+        :mod:`repro.som.batch`, for large suites.
         Pruned-fit search statistics land on :attr:`bmu_stats` and the
         ``repro_som_bmu_candidates_total`` /
         ``repro_som_bmu_pruned_total`` metrics.
@@ -861,6 +880,16 @@ class SelfOrganizingMap:
         if bmu_strategy == "pruned" and epoch_accumulator is None:
             pruned_search = PrunedBMUSearch()
             grouped_terms = GroupedEpochTerms()
+        elif (
+            bmu_search is None
+            and epoch_accumulator is None
+            and matrix.shape[0] * self._grid.num_units
+            >= _PRUNED_DEFAULT_MIN_PAIRS
+        ):
+            # Winner-equal to bmu_indices, tie-breaks included, so the
+            # exact epoch terms below stay bitwise; its counters are
+            # not reported (bmu_stats stays None, as for any exact fit).
+            bmu_search = PrunedBMUSearch()
         for epoch in range(epochs):
             if tracer.enabled:
                 with tracer.span("som.epoch", epoch=epoch) as span:
@@ -938,14 +967,17 @@ class SelfOrganizingMap:
             bmus = np.asarray(bmu_search(self._weights, matrix))
         else:
             bmus = self._bmus_of(matrix)
-        influence = self._kernel(
-            self._grid.squared_distance_table[bmus], sigma
-        )  # shape (n_samples, n_units)
-        totals = influence.sum(axis=0)
-        # Units that no sample influences keep their weights.
-        active = totals > 1e-12
-        numerator = influence.T @ matrix
-        self._weights[active] = numerator[active] / totals[active, None]
+        apply_epoch_terms(
+            self._weights,
+            exact_epoch_terms(
+                self._weights,
+                matrix,
+                kernel=self._kernel,
+                sq_table=self._grid.squared_distance_table,
+                sigma=sigma,
+                bmus=bmus,
+            ),
+        )
 
     # -- queries ------------------------------------------------------------------
 

@@ -4,7 +4,8 @@ The vectorized kernels in ``repro.som``, ``repro.stats.distance`` and
 ``repro.core`` promise *provable output equivalence* with the scalar
 formulations they replaced.  This module keeps those scalar
 formulations alive — the sequential SOM training loop exactly as it
-existed before vectorization, the per-pair distance loop, and the
+existed before vectorization, the batch epoch with its exhaustive
+search and per-sample kernel rows, the per-pair distance loop, and the
 one-replicate-at-a-time bootstrap — so the equivalence tests (and the
 ``bench_hotpaths`` harness, which times old vs. new) can compare
 against them forever.
@@ -20,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.hierarchical import hierarchical_mean
+from repro.som.bmu import bmu_indices
 from repro.som.decay import DecaySchedule
 from repro.som.grid import Grid
 from repro.som.initialization import resolve_initializer
@@ -60,6 +62,40 @@ def reference_sequential_weights(
         bmu = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
         influence = alpha * kernel(grid.squared_map_distances_from(bmu), sigma)
         weights += influence[:, None] * (sample - weights)
+    return weights
+
+
+def reference_batch_weights(
+    config: SOMConfig, matrix: np.ndarray, epochs: int = 50
+) -> np.ndarray:
+    """Train in batch mode with the exhaustive search, kernel per sample.
+
+    A transcription of ``SOM._batch_epoch`` from before default fits
+    searched with the pruned bound and gathered kernel-table rows:
+    every epoch runs the exhaustive :func:`bmu_indices` search,
+    evaluates the kernel on the gathered ``(n_samples, n_units)``
+    distance rows, then sums, multiplies and assigns in place.
+    Returns the trained weight matrix.
+    """
+    som = SelfOrganizingMap(config)
+    grid: Grid = som.grid
+    kernel: NeighborhoodKernel = som._kernel
+    sigma_schedule: DecaySchedule = som._sigma
+
+    matrix = np.asarray(matrix, dtype=float)
+    rng = np.random.default_rng(config.seed)
+    initializer = resolve_initializer(config.initialization)
+    weights = initializer(grid, matrix, rng).astype(float)
+
+    denominator = max(epochs - 1, 1)
+    for epoch in range(epochs):
+        sigma = sigma_schedule(epoch / denominator)
+        bmus = bmu_indices(matrix, weights)
+        influence = kernel(grid.squared_distance_table[bmus], sigma)
+        totals = influence.sum(axis=0)
+        active = totals > 1e-12
+        numerator = influence.T @ matrix
+        weights[active] = numerator[active] / totals[active, None]
     return weights
 
 

@@ -80,6 +80,23 @@ class TestIndexEquality:
         true_bmus = bmu_indices(matrix, weights)
         assert mask[np.arange(matrix.shape[0]), true_bmus].all()
 
+    @given(
+        offset=st.sampled_from([0.0, 1.0, 1e3, 1e4, 1e6]),
+        spread=st.sampled_from([1e-8, 1e-4, 1e-2, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_offset_data_keeps_the_exact_winner(self, offset, spread, seed):
+        """Far from the origin, float64 rounding decides the exact
+        search's near-ties; the shortlist must still hold its winner."""
+        rng = np.random.default_rng(seed)
+        matrix = offset + spread * rng.normal(size=(120, 6))
+        weights = offset + spread * rng.normal(size=(36, 6))
+        search = PrunedBMUSearch()
+        np.testing.assert_array_equal(
+            search(weights, matrix), bmu_indices(matrix, weights)
+        )
+
     def test_big_suite_agreement(self):
         """Full agreement on the realistic correlated counter matrix."""
         data = _standardized(200, 32)
@@ -100,6 +117,26 @@ class TestIndexEquality:
         search = PrunedBMUSearch()
         np.testing.assert_array_equal(
             search(weights, matrix), bmu_indices(matrix, weights)
+        )
+
+
+class TestPrepCache:
+    def test_transpose_does_not_reuse_the_matrix_prep(self):
+        """A square matrix and its transpose share data pointer and
+        shape; the prep cache must still tell them apart."""
+        rng = np.random.default_rng(21)
+        matrix = rng.normal(size=(64, 64)) * np.linspace(0.1, 3.0, 64)
+        weights = rng.normal(size=(49, 64))
+        search = PrunedBMUSearch()
+        np.testing.assert_array_equal(
+            search(weights, matrix), bmu_indices(matrix, weights)
+        )
+        transposed = matrix.T
+        mask, _ = search.shortlist_mask(weights, transposed)
+        true_bmus = bmu_indices(transposed, weights)
+        assert mask[np.arange(64), true_bmus].all()
+        np.testing.assert_array_equal(
+            search(weights, transposed), true_bmus
         )
 
 
