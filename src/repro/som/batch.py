@@ -1,4 +1,4 @@
-"""Batch-epoch arithmetic, factored for sharding and streaming.
+"""Batch-epoch arithmetic.
 
 One Kohonen batch epoch decomposes into *terms* — the influence-
 weighted sample count and sample sum per unit:
@@ -7,26 +7,19 @@ weighted sample count and sample sum per unit:
     numerator[u, :] = sum_s kernel(d2(bmu_s, u), sigma) * x_s
 
 followed by an *apply* step ``w_u = numerator[u] / totals[u]`` for
-every active unit.  The terms are plain sums over samples, so they
-can be computed per shard / per chunk and merged by addition; the
-apply step only ever runs once per epoch on the merged terms.  This
-module holds the three building blocks (:func:`exact_epoch_terms`,
-:func:`merge_epoch_terms`, :func:`apply_epoch_terms`) plus the
+every active unit.  This module holds the two exact building blocks
+(:func:`exact_epoch_terms`, :func:`apply_epoch_terms`) plus the
 grouped-update fast path the pruned strategy uses.
 
 Determinism contract: :func:`exact_epoch_terms` is the one exact
-epoch op sequence — every exact batch path (in-line fit, epoch shards,
-``partial_fit``) goes through it — and its floats are bitwise those of
-the historical in-line batch epoch, so the single-shard path stays
-identical to every golden fixture.
-:func:`merge_epoch_terms` folds partials left-to-right in the order
-given, so a fixed shard count produces one well-defined result no
-matter which worker computed which shard.
+epoch op sequence — every exact batch fit goes through it — and its
+floats are bitwise those of the historical in-line batch epoch, so
+exact fits stay identical to every golden fixture.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +31,6 @@ __all__ = [
     "GroupedEpochTerms",
     "apply_epoch_terms",
     "exact_epoch_terms",
-    "merge_epoch_terms",
 ]
 
 
@@ -86,27 +78,8 @@ def exact_epoch_terms(
     return EpochTerms(totals, numerator)
 
 
-def merge_epoch_terms(parts: Sequence[EpochTerms]) -> EpochTerms:
-    """Fold partial terms left-to-right, in the order given.
-
-    The fixed fold order is the determinism anchor for epoch-wide
-    sharding: for a given shard count the merged floats are identical
-    whether shards were computed in-line, by a pool, or in any worker
-    placement — floating-point addition is commutative-unsafe only if
-    the *order* changes, and here it never does.
-    """
-    if not parts:
-        raise ValueError("merge_epoch_terms needs at least one partial")
-    totals = parts[0].totals.copy()
-    numerator = parts[0].numerator.copy()
-    for part in parts[1:]:
-        np.add(totals, part.totals, out=totals)
-        np.add(numerator, part.numerator, out=numerator)
-    return EpochTerms(totals, numerator)
-
-
 def apply_epoch_terms(weights: np.ndarray, terms: EpochTerms) -> np.ndarray:
-    """In-place batch update from merged terms (golden-pinned ops)."""
+    """In-place batch update from epoch terms (golden-pinned ops)."""
     active = terms.totals > 1e-12
     weights[active] = terms.numerator[active] / terms.totals[active, None]
     return weights
@@ -132,9 +105,8 @@ class GroupedEpochTerms:
     ``(counts | sums)`` matrix is maintained incrementally when fewer
     than ``max(8, S // 8)`` rows moved.  The incremental adds are
     unordered (``np.add.at``), which is fine inside an explicitly
-    tolerance-bounded path — but means instances must not be shared
-    across shards whose merge order is supposed to be fixed; the
-    epoch-sharding machinery gives each shard its own instance.
+    tolerance-bounded path.  An instance carries one fit's grouping
+    from epoch to epoch, so each fit builds its own.
     """
 
     def __init__(self) -> None:

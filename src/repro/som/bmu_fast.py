@@ -110,8 +110,11 @@ class PrunedBMUSearch:
     Drop-in for the ``bmu_search`` hook signature
     ``search(weights, matrix) -> bmus``.  Stateless across epochs (the
     probe threshold is recomputed from the current weights every call),
-    so results are independent of call history — a property the
-    epoch-sharding machinery relies on for placement invariance.
+    so results are independent of call history.  Shortlist pairs are
+    scored with the exhaustive search's row-invariant einsum kernel
+    (see :mod:`repro.som.bmu`), which is what makes the winners equal
+    :func:`repro.som.bmu.bmu_indices` bit for bit, so a default batch
+    fit can use this search and keep its exact epoch update bitwise.
 
     Parameters
     ----------
@@ -173,14 +176,6 @@ class PrunedBMUSearch:
             "pruned_pairs": self.pruned_pairs,
             "pruning_rate": self.pruning_rate,
         }
-
-    def absorb_stats(self, stats: Mapping[str, Any]) -> None:
-        """Fold another search's counters in (shard workers report up)."""
-        self.calls += int(stats.get("calls", 0))
-        self.pair_total += int(stats.get("pair_total", 0))
-        self.candidates += int(stats.get("candidates", 0))
-        self.exhaustive += int(stats.get("exhaustive", 0))
-        self.fallbacks += int(stats.get("fallbacks", 0))
 
     # -- per-matrix preparation ----------------------------------------
 

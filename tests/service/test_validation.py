@@ -44,6 +44,24 @@ class TestHttpRejections:
         assert "partition" in error["detail"]  # accepted names are listed
         assert error["field"] == "partitions"
 
+    def test_removed_shards_field_is_structured_400(self, service_client):
+        """A client still sending ``shards`` is told, not silently ignored."""
+        status, body = service_client.post_json("/analyze", {"shards": 2})
+        error = _error(body)
+        assert status == 400
+        assert "unknown field" in error["detail"]
+        assert error["field"] == "shards"
+        for accepted in (
+            "characterization",
+            "machine",
+            "seed",
+            "linkage",
+            "som_mode",
+            "cluster_counts",
+            "wait",
+        ):
+            assert accepted in error["detail"]
+
     def test_malformed_json_body_is_structured_400(self, service_client):
         status, body = service_client.request(
             "POST", "/score", b"{not json", headers={"Content-Type": "application/json"}
@@ -159,8 +177,6 @@ class TestSchemaValidation:
             ({"seed": True}, "seed"),
             ({"linkage": ""}, "linkage"),
             ({"som_mode": "online"}, "som_mode"),
-            ({"shards": 0}, "shards"),
-            ({"shards": 2}, "shards"),  # sequential mode cannot shard
             ({"cluster_counts": []}, "cluster_counts"),
             ({"cluster_counts": [2, 0]}, "cluster_counts"),
             ({"wait": "yes"}, "wait"),

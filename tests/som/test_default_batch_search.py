@@ -232,3 +232,13 @@ class TestInvisibleSwitch:
         assert stage.signature == (
             "2a3c1f7511eb00c38cc8a611728cfd9645abf5463510f518711770471ae8e444"
         )
+        # The non-default strategy's key is pinned the same way.
+        pruned = SOMReduceStage(config, mode="batch", bmu_strategy="pruned")
+        assert dict(pruned.params) == {
+            "config": config,
+            "mode": "batch",
+            "bmu_strategy": "pruned",
+        }
+        assert pruned.signature == (
+            "6448b3aa31be2b374dd7dd471a37aef6d33fee86a31de132f7ba3f8d45039c27"
+        )

@@ -130,17 +130,3 @@ class TestSweepPlanFlags:
         output = capsys.readouterr().out
         assert "replay (cached)" in output
         assert "disk 6/6" in output
-
-
-class TestShardedPipelineFlags:
-    def test_sharded_batch_pipeline_runs(self, capsys):
-        assert (
-            main(["pipeline", "--som-mode", "batch", "--shards", "2"]) == 0
-        )
-        output = capsys.readouterr().out
-        assert "sharded SOM reduce: 2 shard(s)" in output
-        assert "recommended cluster count" in output
-
-    def test_shards_require_batch_mode(self, capsys):
-        assert main(["pipeline", "--shards", "2"]) == 1
-        assert "batch" in capsys.readouterr().err
