@@ -36,14 +36,19 @@ from repro.analysis.pipeline import AnalysisResult, WorkloadAnalysisPipeline
 from repro.analysis.stages import suite_fingerprint
 from repro.engine.diskcache import DiskCache
 from repro.engine.executor import PipelineEngine, precompute_stage_keys
-from repro.engine.fanout import SweepScheduler, Variant, derive_seed
+from repro.engine.fanout import (
+    SweepScheduler,
+    Variant,
+    _check_variants,
+    derive_seeds,
+)
 from repro.engine.plan import (
     PlanEntry,
     StageCostModel,
     SweepPlan,
     SweepPlanner,
 )
-from repro.exceptions import EngineError, MeasurementError
+from repro.exceptions import MeasurementError
 from repro.som.som import SOMConfig
 from repro.workloads.suite import BenchmarkSuite
 
@@ -135,13 +140,6 @@ def _run_variant(params: Mapping[str, Any], seed: int) -> AnalysisResult:
     return spec.pipeline(seed, _WORKER_ENGINE).run(_WORKER_SUITE)
 
 
-def _check_unique(variants: Sequence[PipelineVariant]) -> None:
-    names = [v.name for v in variants]
-    if len(set(names)) != len(names):
-        duplicated = sorted({n for n in names if names.count(n) > 1})
-        raise EngineError(f"sweep: duplicate variant names {duplicated}")
-
-
 def plan_pipeline_variants(
     variants: Sequence[PipelineVariant],
     suite: BenchmarkSuite,
@@ -166,23 +164,18 @@ def plan_pipeline_variants(
     """
     if not variants:
         raise MeasurementError("plan_pipeline_variants: no variants")
-    _check_unique(variants)
+    _check_variants(variants, "plan_pipeline_variants")
     source = {"suite": suite_fingerprint(suite)}
-    entries = []
-    for index, variant in enumerate(variants):
-        seed = (
-            variant.seed
-            if variant.seed is not None
-            else derive_seed(base_seed, index, variant.name)
+    entries = [
+        PlanEntry(
+            name=variant.name,
+            seed=seed,
+            stage_keys=precompute_stage_keys(
+                variant.pipeline(seed, None).stages(), source
+            ),
         )
-        stages = variant.pipeline(seed, None).stages()
-        entries.append(
-            PlanEntry(
-                name=variant.name,
-                seed=seed,
-                stage_keys=precompute_stage_keys(stages, source),
-            )
-        )
+        for variant, seed in zip(variants, derive_seeds(variants, base_seed))
+    ]
     planner = SweepPlanner(
         cost_model=(
             cost_model
@@ -194,7 +187,7 @@ def plan_pipeline_variants(
         disk_cache=None if cache_dir is None else DiskCache(cache_dir),
         cpus=cpus,
     )
-    return planner.plan(entries, workers=workers, policy="cost")
+    return planner.plan(entries, workers=workers)
 
 
 def run_pipeline_variants(
@@ -212,18 +205,16 @@ def run_pipeline_variants(
     Plans first (see :func:`plan_pipeline_variants` — pass ``plan`` to
     reuse one already built), then executes the plan: ``workers=1``
     (default) runs serially in-process, ``"auto"``/``None`` lets the
-    cost model size the pool, and explicit counts are honored up to
-    the available CPUs (clamped with a warning, never errored).
+    cost model size the pool, and an explicit count is an upper bound
+    (clamped to available CPUs with a warning, never errored).
     Requests above 1 degrade to serial, with a warning, where ``fork``
     is unavailable — or when the cost model says forking costs more
-    than it saves.  ``cache_dir`` points every worker's engine at one
-    persistent disk cache; identical results whatever the mode — seeds
-    are deterministic per variant, and deduped or fully-cached
-    variants replay the same artifacts their computing twin wrote.
+    than it saves, as it does when variants share upstream stages.
+    ``cache_dir`` points every worker's engine at one persistent disk
+    cache; identical results whatever the mode — seeds are
+    deterministic per variant, and deduped or fully-cached variants
+    replay the same artifacts their computing twin wrote.
     """
-    if not variants:
-        raise MeasurementError("run_pipeline_variants: no variants")
-    _check_unique(variants)
     if plan is None:
         plan = plan_pipeline_variants(
             variants,

@@ -831,9 +831,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_workers_arg,
         default=1,
         metavar="N|auto",
-        help="run variants across N processes ('auto' sizes the pool from "
-        "available CPUs and the cost model; explicit counts are clamped to "
-        "available CPUs with a warning; identical results either way)",
+        help="run variants across at most N processes ('auto' sizes the "
+        "pool from available CPUs; either way the plan runs serial when "
+        "forking costs more than it saves, e.g. when variants share "
+        "upstream stages; identical results either way)",
     )
     sweep.add_argument(
         "--dry-run",

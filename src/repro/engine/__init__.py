@@ -24,9 +24,7 @@ provides that shape as reusable machinery:
   :func:`~repro.engine.hostinfo.available_cpus`;
 * :class:`~repro.engine.fanout.SweepScheduler` — the acting half:
   executes a :class:`~repro.engine.plan.SweepPlan` over a process
-  pool sharing one disk cache, with deterministic per-variant seeds
-  (:class:`~repro.engine.fanout.FanOutExecutor` remains the
-  explicit-workers façade).
+  pool sharing one disk cache, with deterministic per-variant seeds.
 
 The six paper stages are implemented beside their subsystems
 (:mod:`repro.characterization.stages`, :mod:`repro.som.stages`,
@@ -46,14 +44,12 @@ from repro.engine.executor import (
     run_single,
 )
 from repro.engine.fanout import (
-    FanOutExecutor,
     SweepScheduler,
     Variant,
     VariantOutcome,
     derive_seed,
     derive_seeds,
     fork_available,
-    run_many,
 )
 from repro.engine.fingerprint import combine, fingerprint
 from repro.engine.hostinfo import available_cpus
@@ -94,14 +90,12 @@ __all__ = [
     "DiskCache",
     "DiskCacheInfo",
     "DEFAULT_MAX_BYTES",
-    "FanOutExecutor",
     "SweepScheduler",
     "Variant",
     "VariantOutcome",
     "derive_seed",
     "derive_seeds",
     "fork_available",
-    "run_many",
     "available_cpus",
     "PlanEntry",
     "StageCostModel",

@@ -1,22 +1,18 @@
 """Plan-driven fan-out over independent pipeline variants.
 
 A sweep — linkage rules, k grids, ablation matrices — is a set of
-*independent* runs that differ in one knob.  Execution is split into
-two phases:
+*independent* runs that differ in one knob.  It runs in two phases:
 
 1. **plan** — :class:`repro.engine.plan.SweepPlanner` predicts each
-   variant's cache hits (stage keys precomputed via
-   :func:`repro.engine.executor.precompute_stage_keys`, probed against
-   the :class:`~repro.engine.diskcache.DiskCache` index), prices the
-   work with ledger-fed stage costs, dedups variants whose fingerprint
-   chains coincide, and decides serial vs parallel + worker count from
-   :func:`~repro.engine.hostinfo.available_cpus`;
+   variant's cache hits, prices the work, dedups variants whose
+   fingerprint chains coincide, and decides serial vs parallel plus a
+   worker count;
 2. **execute** — :class:`SweepScheduler` carries the plan out: pool
    variants fork (``fork`` start method), while duplicates and
    fully-cached variants replay in the parent against the shared
    cache, never occupying a worker.
 
-Every path makes the same guarantees:
+Whatever the plan says, execution makes the same guarantees:
 
 * **deterministic seeds** — a variant without an explicit seed gets
   one derived from ``H(base_seed, index, name)``, the same value in
@@ -36,15 +32,6 @@ Every path makes the same guarantees:
   the ambient registry (counters sum, gauges last-write, histograms
   concatenate).  Serial and parallel runs therefore produce
   structurally identical traces and identical merged counter totals.
-
-:class:`FanOutExecutor` and :func:`run_many` remain as façades with
-their original signatures and their original *explicit* worker
-semantics — ``workers=3`` means three forks, capped only by variant
-count — because callers of the raw executor are saying how to run,
-not asking.  Cost-model scheduling (CPU clamping, dedup, serial
-fallback) applies on the planned path:
-:func:`repro.analysis.sweep.run_pipeline_variants` and the ``sweep``
-CLI plan first, then hand the plan to a :class:`SweepScheduler`.
 """
 
 from __future__ import annotations
@@ -57,14 +44,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.engine.hostinfo import available_cpus
-from repro.engine.plan import PlanEntry, SweepPlan, SweepPlanner
+from repro.engine.plan import SweepPlan
 from repro.exceptions import EngineError
 from repro.obs.context import TraceContext, current_context, use_context
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import MetricsRegistry, current_metrics, use_metrics
 from repro.obs.trace import (
-    NullTracer,
     Tracer,
     current_tracer,
     span_from_payload,
@@ -74,9 +59,7 @@ from repro.obs.trace import (
 __all__ = [
     "Variant",
     "VariantOutcome",
-    "FanOutExecutor",
     "SweepScheduler",
-    "run_many",
     "derive_seed",
     "derive_seeds",
     "fork_available",
@@ -108,8 +91,8 @@ def derive_seed(base_seed: int, index: int, name: str) -> int:
 def derive_seeds(variants: Sequence["Variant"], base_seed: int) -> list[int]:
     """Each variant's effective seed: its own, or the derived default.
 
-    The single source of truth shared by the executor and the planner,
-    so a plan's seeds always match what execution will use.
+    The single source of truth for the seeds a plan carries; the
+    scheduler runs each variant with its planned seed.
     """
     return [
         variant.seed
@@ -204,7 +187,7 @@ def _invoke(payload: _InvokePayload) -> _InvokeResult:
     return value, wall, os.getpid(), span_payload, child_metrics.snapshot()
 
 
-def _check_variants(variants: Sequence[Variant], caller: str) -> None:
+def _check_variants(variants: Sequence[Any], caller: str) -> None:
     if not variants:
         raise EngineError(f"{caller}: no variants")
     names = [v.name for v in variants]
@@ -234,8 +217,8 @@ class SweepScheduler:
         takes it.  Runs in every pool worker and — when any variant
         executes in the parent — once in the parent too, so both
         lifecycles match serial execution.
-    tracer / metrics:
-        Explicit observability sinks; default to the ambient ones.
+
+    Spans and metrics go to the ambient tracer and registry.
     """
 
     def __init__(
@@ -244,14 +227,10 @@ class SweepScheduler:
         *,
         initializer: Callable[..., None] | None = None,
         initargs: tuple[Any, ...] = (),
-        tracer: Tracer | NullTracer | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self._task = task
         self._initializer = initializer
         self._initargs = tuple(initargs)
-        self._tracer = tracer
-        self._metrics = metrics
 
     def execute(
         self, plan: SweepPlan, variants: Sequence[Variant]
@@ -278,10 +257,8 @@ class SweepScheduler:
             )
             parallel = False
 
-        tracer = self._tracer if self._tracer is not None else current_tracer()
-        metrics = (
-            self._metrics if self._metrics is not None else current_metrics()
-        )
+        tracer = current_tracer()
+        metrics = current_metrics()
         mode = "parallel" if parallel else "serial"
         workers = plan.workers if parallel else 1
         traced = bool(getattr(tracer, "enabled", False))
@@ -389,103 +366,3 @@ class SweepScheduler:
                 )
             )
         return outcomes
-
-
-class FanOutExecutor:
-    """Runs one task over many variants, in parallel when told to.
-
-    A façade over the plan/execute machinery with **explicit** worker
-    semantics: the requested count is honored exactly, capped only by
-    variant count — no CPU clamping, no cost model.  Sweep-level
-    callers that want scheduling decisions plan with
-    :class:`~repro.engine.plan.SweepPlanner` and execute with
-    :class:`SweepScheduler` directly (see
-    :func:`repro.analysis.sweep.run_pipeline_variants`).
-
-    Parameters
-    ----------
-    task:
-        Module-level callable ``task(params, seed) -> value``.  Must be
-        picklable for ``workers > 1``.
-    workers:
-        Process count.  ``1`` (default) runs serially in-process;
-        ``None`` means one per *available* CPU
-        (:func:`~repro.engine.hostinfo.available_cpus`, which honors
-        the affinity mask).  Requests above 1 degrade to serial (with
-        a warning) when the platform lacks ``fork``.
-    base_seed:
-        Root of the deterministic per-variant seed derivation, used
-        for variants that do not pin their own seed.
-    initializer / initargs:
-        Per-process setup, exactly as :class:`multiprocessing.Pool`
-        takes it — e.g. building the process's cache-backed engine.
-        In serial mode the initializer runs once, in-process, before
-        the first variant, so both modes see the same lifecycle.
-    tracer / metrics:
-        Explicit observability sinks; default to the ambient ones.
-    """
-
-    def __init__(
-        self,
-        task: TaskFn,
-        *,
-        workers: int | None = 1,
-        base_seed: int = 0,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        tracer: Tracer | NullTracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if workers is None:
-            workers = available_cpus()
-        if workers < 1:
-            raise EngineError(f"FanOutExecutor: workers must be >= 1, got {workers}")
-        self._task = task
-        self._workers = workers
-        self._base_seed = base_seed
-        self._scheduler = SweepScheduler(
-            task,
-            initializer=initializer,
-            initargs=initargs,
-            tracer=tracer,
-            metrics=metrics,
-        )
-
-    @property
-    def workers(self) -> int:
-        """The configured worker count (before any fallback)."""
-        return self._workers
-
-    def run_many(self, variants: Sequence[Variant]) -> list[VariantOutcome]:
-        """Execute every variant; outcomes come back in variant order."""
-        _check_variants(variants, "FanOutExecutor.run_many")
-        seeds = derive_seeds(variants, self._base_seed)
-        plan = SweepPlanner().plan(
-            [
-                PlanEntry(name=variant.name, seed=seed)
-                for variant, seed in zip(variants, seeds)
-            ],
-            workers=self._workers,
-            policy="explicit",
-        )
-        return self._scheduler.execute(plan, variants)
-
-
-def run_many(
-    task: TaskFn,
-    variants: Sequence[Variant],
-    *,
-    workers: int | None = 1,
-    base_seed: int = 0,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple[Any, ...] = (),
-) -> list[VariantOutcome]:
-    """One-shot convenience over :class:`FanOutExecutor`."""
-    executor = FanOutExecutor(
-        task,
-        workers=workers,
-        base_seed=base_seed,
-        initializer=initializer,
-        initargs=initargs,
-    )
-    return executor.run_many(variants)

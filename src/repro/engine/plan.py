@@ -1,11 +1,7 @@
 """Sweep planning: predict cost and cache hits before spawning anything.
 
-The fan-out executor used to be a dumb fork pool: ``--workers 4``
-meant four forks, even on one pinned CPU, even when every variant was
-already sitting in the disk cache — which is how a 5-variant sweep
-ended up 4x *slower* parallel than serial.  This module is the
-thinking half of the fix, a two-phase split mirrored by
-:class:`repro.engine.fanout.SweepScheduler` (the acting half):
+The thinking half of a sweep; :class:`repro.engine.fanout.SweepScheduler`
+is the acting half.
 
 * :class:`StageCostModel` — expected per-stage compute seconds, read
   from the run ledger's historical stage walls
@@ -26,6 +22,7 @@ makes ``repro-hmeans sweep --dry-run`` free.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -62,10 +59,6 @@ DEFAULT_STAGE_COSTS: Mapping[str, float] = {
 
 # Cost of a stage the model has never seen anywhere.
 DEFAULT_UNKNOWN_STAGE_SECONDS = 0.05
-
-# Cost of a whole variant when the caller provides no stage keys (the
-# generic run_many path: opaque tasks, no per-stage structure).
-DEFAULT_TASK_SECONDS = 0.1
 
 # Replaying one stage from the disk cache: read + deserialize.
 CACHE_HIT_SECONDS = 0.004
@@ -165,8 +158,6 @@ class VariantPlan:
     @property
     def est_seconds(self) -> float:
         """Predicted wall seconds for this variant as planned."""
-        if not self.stages:
-            return DEFAULT_TASK_SECONDS
         if self.dedup_of is not None or self.fully_cached:
             return CACHE_HIT_SECONDS * len(self.stages)
         return sum(plan.est_seconds for plan in self.stages)
@@ -212,7 +203,6 @@ class SweepPlan:
     cpus: int
     est_serial_seconds: float
     est_parallel_seconds: float
-    policy: str = "cost"
     clamp_reason: str | None = None
     cost_sources: Mapping[str, str] = field(default_factory=dict)
 
@@ -262,13 +252,8 @@ class SweepPlan:
             f"  {'est':>8}  decision"
         )
         for variant in self.variants:
-            if variant.stages:
-                hits = sum(
-                    1 for s in variant.stages if s.predicted == "disk"
-                )
-                predicted = f"disk {hits}/{len(variant.stages)}"
-            else:
-                predicted = "unknown"
+            hits = sum(1 for s in variant.stages if s.predicted == "disk")
+            predicted = f"disk {hits}/{len(variant.stages)}"
             if variant.dedup_of is not None:
                 decision = f"dedup -> {variant.dedup_of}"
             elif variant.fully_cached:
@@ -293,14 +278,12 @@ class PlanEntry:
     """Planner input for one variant: identity plus precomputed keys.
 
     ``stage_keys`` maps stage name to cache key in execution order
-    (:func:`repro.engine.executor.precompute_stage_keys` output);
-    ``None`` for opaque tasks with no stage structure — those are
-    never deduped or cache-predicted, only priced.
+    (:func:`repro.engine.executor.precompute_stage_keys` output).
     """
 
     name: str
     seed: int
-    stage_keys: Mapping[str, str] | None = None
+    stage_keys: Mapping[str, str]
 
 
 class SweepPlanner:
@@ -318,8 +301,6 @@ class SweepPlanner:
         in another process would recompute, not replay.
     cpus:
         Override for :func:`available_cpus` (tests pin this).
-    spawn_seconds / ipc_seconds:
-        The parallel-overhead constants of the cost comparison.
     """
 
     def __init__(
@@ -328,33 +309,29 @@ class SweepPlanner:
         cost_model: StageCostModel | None = None,
         disk_cache: DiskCache | None = None,
         cpus: int | None = None,
-        spawn_seconds: float = WORKER_SPAWN_SECONDS,
-        ipc_seconds: float = VARIANT_IPC_SECONDS,
     ) -> None:
         self._costs = cost_model or StageCostModel()
         self._disk = disk_cache
         self._cpus = cpus if cpus is not None else available_cpus()
-        self._spawn = float(spawn_seconds)
-        self._ipc = float(ipc_seconds)
 
     def plan(
         self,
         entries: Sequence[PlanEntry],
         *,
         workers: int | str | None = None,
-        policy: str = "cost",
     ) -> SweepPlan:
         """Plan one sweep over ``entries``.
 
         ``workers`` is ``"auto"``/``None`` (size from CPUs + cost
-        model) or an explicit upper bound.  ``policy="cost"`` applies
-        CPU clamping, dedup and the serial-vs-parallel comparison;
-        ``policy="explicit"`` preserves the raw executor's contract —
-        the requested count is honored exactly (capped only by variant
-        count), so callers that *mean* N forks get N forks.
+        model) or an explicit upper bound, clamped to available CPUs
+        and runnable variants.  Parallel mode is chosen only when its
+        estimate beats serial.
+
+        Stage keys shared by several pool variants are priced the way
+        execution pays for them: serially one engine computes each
+        distinct key once and its memo serves the rest, while in a
+        pool every worker computes the shared keys itself.
         """
-        if policy not in ("cost", "explicit"):
-            raise EngineError(f"SweepPlanner: unknown policy {policy!r}")
         if not entries:
             raise EngineError("SweepPlanner.plan: no entries")
         requested = workers
@@ -370,36 +347,33 @@ class SweepPlanner:
                 f"SweepPlanner: workers must be >= 1, got {workers}"
             )
 
-        variants = self._plan_variants(entries, dedup=policy == "cost")
+        variants = self._plan_variants(entries)
         pool = [v for v in variants if v.pool_eligible]
         replay_cost = CACHE_HIT_SECONDS * sum(
-            len(v.stages) or 1 for v in variants if not v.pool_eligible
+            len(v.stages) for v in variants if not v.pool_eligible
         )
-        compute_cost = sum(v.est_seconds for v in pool)
-        est_serial = compute_cost + replay_cost
+        key_cost = {s.key: s.est_seconds for v in pool for s in v.stages}
+        needed_by = Counter(s.key for v in pool for s in v.stages)
+        shared_cost = sum(
+            cost for key, cost in key_cost.items() if needed_by[key] > 1
+        )
+        unique_cost = sum(
+            cost for key, cost in key_cost.items() if needed_by[key] == 1
+        )
+        est_serial = shared_cost + unique_cost + replay_cost
 
-        if policy == "explicit":
-            chosen = min(workers or 1, len(variants))
-            clamp_reason = None
-        else:
-            chosen, clamp_reason = self._choose_workers(workers, len(pool))
+        chosen, clamp_reason = self._choose_workers(workers, len(pool))
         est_parallel = (
-            self._spawn * chosen
-            + (compute_cost / chosen if chosen else 0.0)
-            + self._ipc * len(pool)
+            WORKER_SPAWN_SECONDS * chosen
+            + shared_cost
+            + unique_cost / chosen
+            + VARIANT_IPC_SECONDS * len(pool)
             + replay_cost
         )
-
-        if policy == "explicit":
-            mode = "parallel" if chosen > 1 else "serial"
+        if chosen > 1 and est_parallel < est_serial:
+            mode = "parallel"
         else:
-            mode = (
-                "parallel"
-                if chosen > 1 and est_parallel < est_serial
-                else "serial"
-            )
-        if mode == "serial":
-            chosen = 1
+            mode, chosen = "serial", 1
 
         stage_names = {
             plan.stage for variant in variants for plan in variant.stages
@@ -412,7 +386,6 @@ class SweepPlanner:
             cpus=self._cpus,
             est_serial_seconds=est_serial,
             est_parallel_seconds=est_parallel,
-            policy=policy,
             clamp_reason=clamp_reason,
             cost_sources={
                 name: self._costs.source(name) for name in stage_names
@@ -434,22 +407,17 @@ class SweepPlanner:
             )
         return plan
 
-    def _plan_variants(
-        self, entries: Sequence[PlanEntry], *, dedup: bool
-    ) -> list[VariantPlan]:
+    def _plan_variants(self, entries: Sequence[PlanEntry]) -> list[VariantPlan]:
         seen: dict[str, str] = {}
         variants: list[VariantPlan] = []
         for entry in entries:
-            stages: tuple[StagePlan, ...] = ()
-            chain: str | None = None
-            if entry.stage_keys is not None:
-                stages = tuple(
-                    self._plan_stage(stage, key)
-                    for stage, key in entry.stage_keys.items()
-                )
-                chain = combine(*[plan.key for plan in stages])
+            stages = tuple(
+                self._plan_stage(stage, key)
+                for stage, key in entry.stage_keys.items()
+            )
+            chain = combine(*[plan.key for plan in stages])
             dedup_of = None
-            if dedup and chain is not None and self._disk is not None:
+            if self._disk is not None:
                 dedup_of = seen.get(chain)
                 if dedup_of is None:
                     seen[chain] = entry.name

@@ -1,4 +1,4 @@
-"""FanOutExecutor: determinism, parallel/serial equivalence, sweeps."""
+"""SweepScheduler: determinism, parallel/serial equivalence, sweeps."""
 
 from __future__ import annotations
 
@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    FanOutExecutor,
+    PlanEntry,
+    SweepPlanner,
+    SweepScheduler,
     Variant,
     derive_seed,
+    fingerprint,
     fork_available,
-    run_many,
 )
 from repro.exceptions import EngineError
 from repro.obs import Tracer, use_tracer
+from tests.sweep_plans import hand_plan
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -48,50 +51,52 @@ class TestDeriveSeed:
 
 class TestSerialExecution:
     def test_outcomes_in_variant_order(self):
-        outcomes = run_many(
-            _identity, [Variant(f"v{i}") for i in range(4)]
+        variants = [Variant(f"v{i}") for i in range(4)]
+        outcomes = SweepScheduler(_identity).execute(
+            hand_plan(variants), variants
         )
         assert [o.name for o in outcomes] == ["v0", "v1", "v2", "v3"]
 
     def test_explicit_seed_wins_derived_fills_in(self):
-        outcomes = run_many(
-            _scaled_draw,
-            [Variant("pinned", seed=7), Variant("derived")],
-            base_seed=11,
+        variants = [Variant("pinned", seed=7), Variant("derived")]
+        outcomes = SweepScheduler(_scaled_draw).execute(
+            hand_plan(variants, base_seed=11), variants
         )
         assert outcomes[0].seed == 7
         assert outcomes[1].seed == derive_seed(11, 1, "derived")
 
     def test_serial_runs_in_parent_process(self):
-        (outcome,) = run_many(_identity, [Variant("only")])
+        variants = [Variant("only")]
+        (outcome,) = SweepScheduler(_identity).execute(
+            hand_plan(variants), variants
+        )
         assert outcome.worker_pid == os.getpid()
         assert outcome.in_parent
 
     def test_initializer_runs_once_before_variants(self):
         ran = []
-        executor = FanOutExecutor(
+        scheduler = SweepScheduler(
             _identity,
-            workers=1,
             initializer=lambda tag: ran.append(tag),
             initargs=("setup",),
         )
-        executor.run_many([Variant("a"), Variant("b")])
+        variants = [Variant("a"), Variant("b")]
+        scheduler.execute(hand_plan(variants), variants)
         assert ran == ["setup"]
 
     def test_rejects_empty_and_duplicate_variants(self):
-        with pytest.raises(EngineError):
-            run_many(_identity, [])
+        scheduler = SweepScheduler(_identity)
+        with pytest.raises(EngineError, match="no variants"):
+            scheduler.execute(hand_plan([]), [])
+        doubled = [Variant("same"), Variant("same")]
         with pytest.raises(EngineError, match="duplicate"):
-            run_many(_identity, [Variant("same"), Variant("same")])
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(EngineError):
-            FanOutExecutor(_identity, workers=0)
+            scheduler.execute(hand_plan(doubled), doubled)
 
     def test_spans_cover_run_and_each_variant(self):
         tracer = Tracer()
+        variants = [Variant("a"), Variant("b")]
         with use_tracer(tracer):
-            run_many(_scaled_draw, [Variant("a"), Variant("b")])
+            SweepScheduler(_scaled_draw).execute(hand_plan(variants), variants)
         assert len(tracer.find("fanout.run")) == 1
         variant_spans = tracer.find("fanout.variant")
         assert sorted(s.attributes["variant"] for s in variant_spans) == [
@@ -99,8 +104,8 @@ class TestSerialExecution:
             "b",
         ]
         assert all("wall_seconds" in s.attributes for s in variant_spans)
-        # The span now times the task itself, so its duration is the
-        # measured wall time (it used to be a ~0 bookkeeping span).
+        # The variant span times the task itself, so its duration is
+        # the measured wall time.
         for span in variant_spans:
             assert span.duration_seconds == pytest.approx(
                 span.attributes["wall_seconds"], rel=0.5, abs=5e-3
@@ -114,27 +119,41 @@ class TestParallelExecution:
         variants = [
             Variant(f"v{i}", params={"scale": float(i + 1)}) for i in range(5)
         ]
-        serial = run_many(_scaled_draw, variants, workers=1, base_seed=3)
-        parallel = run_many(_scaled_draw, variants, workers=3, base_seed=3)
+        scheduler = SweepScheduler(_scaled_draw)
+        serial = scheduler.execute(
+            hand_plan(variants, base_seed=3), variants
+        )
+        parallel = scheduler.execute(
+            hand_plan(variants, workers=3, base_seed=3), variants
+        )
         for s, p in zip(serial, parallel):
             assert s.seed == p.seed
             assert s.value == p.value  # bitwise: same seed, same arithmetic
 
     def test_parallel_runs_outside_the_parent(self):
-        outcomes = run_many(_identity, [Variant(f"v{i}") for i in range(3)], workers=2)
+        variants = [Variant(f"v{i}") for i in range(3)]
+        outcomes = SweepScheduler(_identity).execute(
+            hand_plan(variants, workers=2), variants
+        )
         assert all(o.worker_pid != os.getpid() for o in outcomes)
         assert all(not o.in_parent for o in outcomes)
 
     def test_workers_capped_by_variant_count(self):
-        # 1 variant with 8 workers collapses to serial execution.
-        (outcome,) = run_many(_identity, [Variant("only")], workers=8)
+        # 1 variant with 8 workers on 8 CPUs plans serial execution.
+        plan = SweepPlanner(cpus=8).plan(
+            [PlanEntry(name="only", seed=1, stage_keys={"task": fingerprint(1)})],
+            workers=8,
+        )
+        assert plan.mode == "serial"
+        (outcome,) = SweepScheduler(_identity).execute(plan, [Variant("only")])
         assert outcome.in_parent
 
     def test_parallel_variant_spans_time_the_task(self):
         tracer = Tracer()
+        variants = [Variant("a"), Variant("b")]
         with use_tracer(tracer):
-            outcomes = run_many(
-                _scaled_draw, [Variant("a"), Variant("b")], workers=2
+            outcomes = SweepScheduler(_scaled_draw).execute(
+                hand_plan(variants, workers=2), variants
             )
         variant_spans = tracer.find("fanout.variant")
         assert len(variant_spans) == 2
@@ -183,13 +202,16 @@ class TestPipelineSweeps:
             workers=1,
             cache_dir=tmp_path / "serial",
         )
+        # Linkage variants share their upstream stages, so the planner
+        # runs them serial; a hand-built plan forks them anyway.
         parallel = run_pipeline_variants(
             linkage_variants,
             paper_suite,
-            workers=2,
             cache_dir=tmp_path / "parallel",
+            plan=hand_plan(linkage_variants, workers=2),
         )
         for s, p in zip(serial, parallel):
+            assert p.worker_pid != os.getpid()
             assert s.seed == p.seed
             a, b = s.result, p.result
             assert np.array_equal(

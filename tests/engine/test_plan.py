@@ -2,9 +2,10 @@
 
 The planner's promises: precomputed stage keys are *exactly* the keys
 execution uses, dedup never drops a unique fingerprint chain, explicit
-worker requests clamp (never error) with a structured warning under
-the cost policy while the ``explicit`` policy honors them verbatim,
-and parallel mode is refused when forking is priced above computing.
+worker requests clamp (never error) with a structured warning, stage
+keys shared across variants are priced the way execution pays for
+them, and parallel mode is refused when forking is priced above
+computing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.engine.fingerprint import fingerprint
 from repro.engine.hostinfo import available_cpus
 from repro.engine.plan import (
     DEFAULT_STAGE_COSTS,
-    DEFAULT_TASK_SECONDS,
     DEFAULT_UNKNOWN_STAGE_SECONDS,
     PlanEntry,
     StageCostModel,
@@ -174,16 +174,6 @@ class TestDedup:
         )
         assert plan.deduped == ()
 
-    def test_explicit_policy_never_dedups(self, tmp_path):
-        keys = {"stage_a": fingerprint("same")}
-        plan = SweepPlanner(disk_cache=DiskCache(tmp_path), cpus=4).plan(
-            _entries({"one": (1, keys), "two": (2, keys)}),
-            workers=2,
-            policy="explicit",
-        )
-        assert plan.deduped == ()
-        assert plan.workers == 2
-
 
 class TestWorkerChoice:
     def test_clamps_to_available_cpus_with_warning(self, caplog):
@@ -223,25 +213,64 @@ class TestWorkerChoice:
         assert plan.workers == 4
         assert plan.est_parallel_seconds < plan.est_serial_seconds
 
-    def test_explicit_policy_honors_request_beyond_cpus(self):
-        entries = _entries(
-            {f"v{i}": (i, None) for i in range(3)}
-        )
-        plan = SweepPlanner(cpus=1).plan(entries, workers=3, policy="explicit")
-        assert plan.workers == 3
-        assert plan.mode == "parallel"
-        assert plan.clamp_reason is None
-
     def test_bad_inputs_raise(self):
         planner = SweepPlanner(cpus=1)
+        (entry,) = _entries({"v": (1, {"reduce": fingerprint(1)})})
         with pytest.raises(EngineError, match="no entries"):
             planner.plan([])
         with pytest.raises(EngineError, match="workers"):
-            planner.plan([PlanEntry(name="v", seed=1)], workers=0)
-        with pytest.raises(EngineError, match="policy"):
-            planner.plan([PlanEntry(name="v", seed=1)], policy="vibes")
+            planner.plan([entry], workers=0)
         with pytest.raises(EngineError, match="auto"):
-            planner.plan([PlanEntry(name="v", seed=1)], workers="turbo")
+            planner.plan([entry], workers="turbo")
+
+
+class TestSharedStagePricing:
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_linkage_sweep_sharing_upstream_stages_plans_serial(
+        self, paper_suite, cpus
+    ):
+        """Five linkages share characterize/preprocess/reduce.
+
+        Serially one engine computes the shared SOM fit once; a pool
+        worker recomputes it, so forking cannot win.
+        """
+        from repro.analysis.sweep import PipelineVariant, plan_pipeline_variants
+
+        variants = [
+            PipelineVariant(name=linkage, linkage=linkage, seed=11)
+            for linkage in ("complete", "average", "single", "ward", "centroid")
+        ]
+        plan = plan_pipeline_variants(
+            variants, paper_suite, workers=4, cpus=cpus
+        )
+        assert plan.mode == "serial"
+        assert plan.workers == 1
+        reduce_cost = DEFAULT_STAGE_COSTS["reduce"]
+        # The shared fit is charged once to serial, to every worker
+        # in parallel.
+        assert plan.est_serial_seconds < 2 * reduce_cost
+        assert plan.est_parallel_seconds > reduce_cost
+
+    def test_heavy_variants_sharing_no_key_still_plan_parallel(self):
+        heavy = StageCostModel(measured={"reduce": 30.0})
+        entries = _entries(
+            {
+                f"v{i}": (
+                    i,
+                    {
+                        "characterize": fingerprint(("c", i)),
+                        "reduce": fingerprint(("r", i)),
+                    },
+                )
+                for i in range(6)
+            }
+        )
+        plan = SweepPlanner(cost_model=heavy, cpus=8).plan(entries)
+        assert plan.mode == "parallel"
+        assert plan.workers == 6
+        assert plan.est_serial_seconds == pytest.approx(
+            6 * (30.0 + DEFAULT_STAGE_COSTS["characterize"])
+        )
 
 
 class TestCachePrediction:
@@ -263,14 +292,6 @@ class TestCachePrediction:
         assert not by_name["hit"].pool_eligible
         assert not by_name["miss"].fully_cached
         assert plan.cached == (by_name["hit"],)
-
-    def test_opaque_entries_are_priced_but_never_cached(self):
-        plan = SweepPlanner(cpus=1).plan(
-            [PlanEntry(name="opaque", seed=1)]
-        )
-        (variant,) = plan.variants
-        assert not variant.fully_cached
-        assert variant.est_seconds == DEFAULT_TASK_SECONDS
 
     def test_render_mentions_every_variant_and_decision(self, tmp_path):
         cache = DiskCache(tmp_path)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.engine.fanout import Variant, fork_available, run_many
+from repro.engine.fanout import SweepScheduler, Variant, fork_available
 from repro.obs import (
     MetricsRegistry,
     RunRecorder,
@@ -23,6 +23,7 @@ from repro.obs import (
     use_metrics,
     use_tracer,
 )
+from tests.sweep_plans import hand_plan
 
 
 def _spanning_task(params, seed):
@@ -36,11 +37,12 @@ def _spanning_task(params, seed):
 def _traced_fan_out(workers):
     tracer, context = Tracer(), new_context()
     variants = [Variant(f"v{i}") for i in range(3)]
+    plan = hand_plan(variants, workers=workers, base_seed=5)
     with use_context(context), use_tracer(tracer), use_metrics(
         MetricsRegistry()
     ):
         with tracer.span("sweep.run"):
-            run_many(_spanning_task, variants, workers=workers, base_seed=5)
+            SweepScheduler(_spanning_task).execute(plan, variants)
     return tracer, context
 
 
@@ -75,12 +77,10 @@ class TestSweepPropagation:
 
     def test_untraced_context_free_sweep_stays_unstamped(self):
         tracer = Tracer()
+        variants = [Variant("v0")]
         with use_tracer(tracer), use_metrics(MetricsRegistry()):
-            run_many(
-                _spanning_task,
-                [Variant("v0")],
-                workers=2,
-                base_seed=5,
+            SweepScheduler(_spanning_task).execute(
+                hand_plan(variants, workers=2, base_seed=5), variants
             )
         assert {s.trace_id for s in tracer.spans()} == {None}
 
