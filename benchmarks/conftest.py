@@ -9,7 +9,11 @@ the suite stays fast.
 Benches that measure performance also archive machine-readable results
 with :func:`write_bench_json`: one ``results/BENCH_<name>.json`` per
 bench, built from the tracer/metrics observability API, forming the
-perf trajectory tracked across PRs.  When the ``REPRO_LEDGER``
+perf trajectory tracked across PRs.  Each payload carries the same
+``env`` block perfbench stamps into its reports
+(:func:`perfbench.envinfo.env_block`: Python, numpy, BLAS library and
+thread count, available CPUs, git sha), so a number is never read
+without the host it was taken on.  When the ``REPRO_LEDGER``
 environment variable names a run-ledger file, each archived bench also
 appends a ``bench:<name>`` record there, so CLI runs and bench runs
 share one longitudinal timeline (`repro-hmeans obs runs`) and the
@@ -28,15 +32,18 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Any, Mapping
 
 import pytest
 
+from perfbench.envinfo import env_block
 from repro.obs.ledger import RunLedger, RunRecorder, ledger_path_from_env
 from repro.workloads.suite import BenchmarkSuite
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = REPO_ROOT / "results"
 
 SCIMARK = (
     "SciMark2.FFT",
@@ -73,12 +80,24 @@ def write_bench_json(
     of this bench comparable (sizes, smoke flags, worker counts): it
     is folded into the ledger record's fingerprinted ``args``, so
     ``obs trend``/``obs gate`` only ever compare bench runs taken at
-    the same configuration.  Returns the written path.
+    the same configuration.  The payload is stamped with an ``env``
+    block.  Returns the written path.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
+    env = env_block(
+        REPO_ROOT,
+        {
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "pycache_prefix": sys.pycache_prefix,
+        },
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"bench": name, "schema": 1, **payload}, handle, indent=2)
+        json.dump(
+            {"bench": name, "schema": 1, **payload, "env": env},
+            handle,
+            indent=2,
+        )
         handle.write("\n")
     _ledger_bench_record(name, payload, config=config)
     return path

@@ -49,7 +49,11 @@ leaf:
 When the two runs were taken at different sizes (``smoke`` flags
 differ), neither seconds nor speedups are comparable — everything
 downgrades to warnings so CI smoke runs stay informative without
-flaking.  Exit status: 0 (clean or warnings only), 1 (regression).
+flaking.  Every bench payload carries an ``env`` block (Python,
+numpy, BLAS library and thread count, CPUs); when the baseline's and
+the fresh run's differ, a loud ``WARNING`` lists the differing keys
+before the findings.  It changes no threshold and no exit status.
+Exit status: 0 (clean or warnings only), 1 (regression).
 """
 
 from __future__ import annotations
@@ -74,16 +78,48 @@ SOM_SCALING_QE_TOLERANCE_PCT = 1.0
 SOM_SCALING_GATED_SHAPE = "1000x64"
 
 
-def _numeric_leaves(payload, prefix=""):
-    """Flatten nested dicts to ``{dotted.path: float}`` numeric leaves."""
+def _leaves(payload, prefix=""):
+    """Flatten nested dicts to ``{dotted.path: value}`` leaves."""
     leaves = {}
     for key, value in payload.items():
         path = f"{prefix}.{key}" if prefix else key
         if isinstance(value, dict):
-            leaves.update(_numeric_leaves(value, path))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            leaves[path] = float(value)
+            leaves.update(_leaves(value, path))
+        else:
+            leaves[path] = value
     return leaves
+
+
+def _numeric_leaves(payload):
+    """Flatten nested dicts to ``{dotted.path: float}`` numeric leaves."""
+    return {
+        path: float(value)
+        for path, value in _leaves(payload).items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
+
+
+# Keys that name the code under test rather than the host: they differ
+# between any two commits and say nothing about comparability.
+_CODE_IDENTITY_KEYS = frozenset({"git_sha", "src_sha1"})
+
+
+def env_differences(baseline: dict, fresh: dict) -> list[str]:
+    """``key: old -> new`` for each env key that differs between two runs."""
+    old_env, new_env = baseline.get("env"), fresh.get("env")
+    if not isinstance(old_env, dict) or not isinstance(new_env, dict):
+        missing = [
+            side
+            for side, env in (("baseline", old_env), ("fresh", new_env))
+            if not isinstance(env, dict)
+        ]
+        return [f"env: no env block in the {' and '.join(missing)} run"]
+    old, new = _leaves(old_env), _leaves(new_env)
+    return [
+        f"{key}: {old.get(key, '<absent>')!r} -> {new.get(key, '<absent>')!r}"
+        for key in sorted(set(old) | set(new))
+        if key not in _CODE_IDENTITY_KEYS and old.get(key) != new.get(key)
+    ]
 
 
 def _load(path: Path, *, bench: str):
@@ -464,6 +500,14 @@ def main(argv=None) -> int:
     if args.baseline is not None:
         baseline = _load(args.baseline, bench="hotpaths")
         fresh = _load(args.fresh, bench="hotpaths")
+        differences = env_differences(baseline, fresh)
+        if differences:
+            print(
+                "WARNING: the baseline and fresh runs were taken in "
+                "different environments; their timings may not be comparable."
+            )
+            for difference in differences:
+                print(f"WARNING:   {difference}")
         findings.extend(
             compare(baseline, fresh, strict_absolute=args.strict_absolute)
         )

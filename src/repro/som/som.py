@@ -28,6 +28,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.engine.hostinfo import single_blas_thread
 from repro.exceptions import SOMError
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import current_metrics
@@ -276,9 +277,9 @@ class SelfOrganizingMap:
 
         ``bmu_strategy`` (batch mode only) selects the per-epoch
         search/update arithmetic: ``"exact"`` (default, golden-pinned,
-        bitwise stable) or ``"pruned"`` — the pruned search plus the
-        tolerance-bounded grouped batch update of
-        :mod:`repro.som.batch`, for large suites.
+        bitwise stable on any host, see below) or ``"pruned"`` — the
+        pruned search plus the tolerance-bounded grouped batch update
+        of :mod:`repro.som.batch`, for large suites.
         Pruned-fit search statistics land on :attr:`bmu_stats` and the
         ``repro_som_bmu_candidates_total`` /
         ``repro_som_bmu_pruned_total`` metrics.
@@ -287,6 +288,17 @@ class SelfOrganizingMap:
         record the quantization error every that-many steps into
         :attr:`training_history` — the quantitative version of the
         pseudo-code's "continue until converge".
+
+        The whole fit, initializer included, runs with numpy's BLAS at
+        one thread (:func:`repro.engine.hostinfo.single_blas_thread`).
+        A multi-threaded ``matmul`` sums in an order that depends on
+        the thread count; at one thread, large batch fits and PCA
+        initializations are bitwise the same on every host, and
+        processes sharing the CPUs do not oversubscribe them.  A lone fit on an idle
+        multi-core host can be slower (on 2 CPUs about 4% at 1000x64
+        and 19% at 1000x500; ``docs/PERFORMANCE.md`` has the tables).
+        Where the BLAS thread count cannot be set (not OpenBLAS, or not
+        Linux) the fit runs at the ambient count.
 
         Training runs inside a ``som.fit`` tracing span with one
         ``som.epoch`` child span per epoch (an epoch is one pass of
@@ -314,7 +326,7 @@ class SelfOrganizingMap:
         matrix = self._as_data(data)
         tracer = current_tracer()
         started = time.perf_counter()
-        with tracer.span(
+        with single_blas_thread(), tracer.span(
             "som.fit",
             mode=mode,
             rows=self._grid.rows,

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.hierarchical import hierarchical_mean
+from repro.engine.hostinfo import single_blas_thread
 from repro.som.bmu import bmu_indices
 from repro.som.decay import DecaySchedule
 from repro.som.grid import Grid
@@ -75,7 +76,9 @@ def reference_batch_weights(
     every epoch runs the exhaustive :func:`bmu_indices` search,
     evaluates the kernel on the gathered ``(n_samples, n_units)``
     distance rows, then sums, multiplies and assigns in place.
-    Returns the trained weight matrix.
+    Like ``fit``, it runs initializer and epochs with BLAS at one
+    thread: the ``influence.T @ matrix`` sum order depends on the
+    thread count.  Returns the trained weight matrix.
     """
     som = SelfOrganizingMap(config)
     grid: Grid = som.grid
@@ -83,19 +86,20 @@ def reference_batch_weights(
     sigma_schedule: DecaySchedule = som._sigma
 
     matrix = np.asarray(matrix, dtype=float)
-    rng = np.random.default_rng(config.seed)
-    initializer = resolve_initializer(config.initialization)
-    weights = initializer(grid, matrix, rng).astype(float)
+    with single_blas_thread():
+        rng = np.random.default_rng(config.seed)
+        initializer = resolve_initializer(config.initialization)
+        weights = initializer(grid, matrix, rng).astype(float)
 
-    denominator = max(epochs - 1, 1)
-    for epoch in range(epochs):
-        sigma = sigma_schedule(epoch / denominator)
-        bmus = bmu_indices(matrix, weights)
-        influence = kernel(grid.squared_distance_table[bmus], sigma)
-        totals = influence.sum(axis=0)
-        active = totals > 1e-12
-        numerator = influence.T @ matrix
-        weights[active] = numerator[active] / totals[active, None]
+        denominator = max(epochs - 1, 1)
+        for epoch in range(epochs):
+            sigma = sigma_schedule(epoch / denominator)
+            bmus = bmu_indices(matrix, weights)
+            influence = kernel(grid.squared_distance_table[bmus], sigma)
+            totals = influence.sum(axis=0)
+            active = totals > 1e-12
+            numerator = influence.T @ matrix
+            weights[active] = numerator[active] / totals[active, None]
     return weights
 
 
